@@ -7,9 +7,10 @@ use crate::executor::{layout_table, Executor, Layout};
 use crate::faults::{ClusterHealth, FailReason, FaultAccounting, FaultPlan, FaultState};
 use crate::hardware::HardwareProfile;
 use crate::optimizer::OptimizerEstimator;
-use lpa_partition::Partitioning;
+use lpa_partition::{KeyInterner, Partitioning};
 use lpa_schema::{Schema, TableId};
 use lpa_workload::{FrequencyVector, Query, Workload};
+use std::collections::BTreeMap;
 
 /// Configuration of one simulated deployment.
 #[derive(Clone, Copy, Debug)]
@@ -106,6 +107,81 @@ pub struct ClusterResumeState {
     pub fault_accounting: FaultAccounting,
 }
 
+/// Hit/miss counters of a cluster's execution memo (see
+/// [`Cluster::memo_stats`]). Transient, like the memo itself: not
+/// checkpointed, and not part of any report compared for bit-identity.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct MemoStats {
+    pub hits: u64,
+    pub misses: u64,
+    /// Distinct (layout, query) executions currently memoized.
+    pub entries: usize,
+}
+
+/// Exact memo of healthy, untimed executions: (deployed layout, query) →
+/// the executor's `(seconds, output_rows)`. Under those conditions the
+/// executor and the optimizer's plan are a pure function of the key plus
+/// data, schema and statistics epoch, so the memo is cleared wherever
+/// those change. Keys are compared in full (a `BTreeMap` over packed
+/// words, never a hash).
+#[derive(Debug, Default)]
+struct ExecMemo {
+    layouts: KeyInterner,
+    entries: BTreeMap<Box<[u64]>, (f64, u64)>,
+    /// Packed key of the last lookup, reused by [`Self::insert_last`].
+    key: Vec<u64>,
+    hits: u64,
+    misses: u64,
+}
+
+impl ExecMemo {
+    /// Look up `query` on `layout`, packing the full key into `self.key`:
+    /// the layout's interned id (all table states and edge flags, which is
+    /// what `OptimizerEstimator::plan` reads), then the query's complete
+    /// content, each variable-length part prefixed by its length.
+    fn get(&mut self, layout: &Partitioning, query: &Query) -> Option<(f64, u64)> {
+        let k = &mut self.key;
+        k.clear();
+        k.push(u64::from(self.layouts.state_key(layout).0));
+        k.push(query.name.len() as u64);
+        k.extend(query.name.as_bytes().chunks(8).map(|c| {
+            let mut word = [0u8; 8];
+            word[..c.len()].copy_from_slice(c);
+            u64::from_le_bytes(word)
+        }));
+        k.push(query.tables.len() as u64);
+        k.extend(query.tables.iter().map(|t| t.0 as u64));
+        k.push(query.joins.len() as u64);
+        for j in &query.joins {
+            k.push(j.pairs.len() as u64);
+            for (a, b) in &j.pairs {
+                k.extend([a.table.0, a.attr.0, b.table.0, b.attr.0].map(|v| v as u64));
+            }
+        }
+        k.push(query.selectivity.len() as u64);
+        k.extend(query.selectivity.iter().map(|s| s.to_bits()));
+        k.push(query.cpu_factor.to_bits());
+        let found = self.entries.get(self.key.as_slice()).copied();
+        if found.is_some() {
+            self.hits += 1;
+        } else {
+            self.misses += 1;
+        }
+        found
+    }
+
+    /// Memoize the result for the key of the last [`Self::get`].
+    fn insert_last(&mut self, value: (f64, u64)) {
+        self.entries
+            .insert(self.key.clone().into_boxed_slice(), value);
+    }
+
+    fn clear(&mut self) {
+        self.layouts = KeyInterner::new();
+        self.entries.clear();
+    }
+}
+
 /// A simulated distributed database cluster holding generated data sharded
 /// by the currently deployed partitioning.
 #[derive(Debug)]
@@ -129,6 +205,9 @@ pub struct Cluster {
     /// Reusable columnar-executor buffers (transient — excluded from
     /// resume state; contents never outlive one `run_query`).
     exec_scratch: crate::ExecScratch,
+    /// Healthy-execution memo (transient — excluded from resume state;
+    /// a pure cache of what the executor would compute again).
+    memo: ExecMemo,
 }
 
 impl Cluster {
@@ -155,6 +234,7 @@ impl Cluster {
             faults: FaultPlan::none(),
             fault_accounting: FaultAccounting::default(),
             exec_scratch: crate::ExecScratch::default(),
+            memo: ExecMemo::default(),
         }
     }
 
@@ -243,9 +323,21 @@ impl Cluster {
         self.clock_seconds += seconds;
     }
 
-    /// Number of queries actually executed (the runtime cache avoids most).
+    /// Number of simulated query executions charged to the clock
+    /// (execution-memo hits included; callers' runtime caches avoid most).
     pub fn queries_executed(&self) -> u64 {
         self.queries_executed
+    }
+
+    /// Execution-memo counters. Transient: they count how often the
+    /// simulator itself was skipped, which no simulated quantity depends
+    /// on, so they are never checkpointed or compared across runs.
+    pub fn memo_stats(&self) -> MemoStats {
+        MemoStats {
+            hits: self.memo.hits,
+            misses: self.memo.misses,
+            entries: self.memo.entries.len(),
+        }
     }
 
     /// Number of single-table repartitionings performed.
@@ -312,6 +404,10 @@ impl Cluster {
     /// errors and unreachable unreplicated shards abort with
     /// [`QueryOutcome::Failed`]; stragglers and degraded links inflate the
     /// charged time and mark the completion degraded.
+    ///
+    /// Healthy untimed executions outside [`crate::with_naive_executor`]
+    /// are served from an exact memo keyed on (deployed layout, query):
+    /// the clock, counters and outcome are the same as a fresh execution.
     pub fn run_query(&mut self, query: &Query, timeout: Option<f64>) -> QueryOutcome {
         let faults = self.fault_state();
         self.queries_executed += 1;
@@ -350,6 +446,21 @@ impl Cluster {
             }
         }
 
+        // Only healthy, untimed executions are a pure function of the memo
+        // key; the naive executor is the oracle and always runs for real.
+        let memoizable =
+            timeout.is_none() && !faults.any_fault() && !crate::columnar::naive_executor_forced();
+        if memoizable {
+            if let Some((seconds, output_rows)) = self.memo.get(&self.deployed, query) {
+                self.clock_seconds += seconds;
+                return QueryOutcome::Completed {
+                    seconds,
+                    output_rows,
+                    degraded: false,
+                };
+            }
+        }
+
         let plan = self
             .optimizer
             .plan(&self.schema, query, &self.deployed, self.stats_epoch);
@@ -363,6 +474,9 @@ impl Cluster {
         };
         match exec.execute_with(query, &plan, timeout, &mut self.exec_scratch) {
             Some(r) => {
+                if memoizable {
+                    self.memo.insert_last((r.seconds, r.output_rows));
+                }
                 self.clock_seconds += r.seconds;
                 let degraded = faults.any_fault();
                 if degraded {
@@ -446,6 +560,7 @@ impl Cluster {
         self.db = Database::generate(&self.schema, self.config.seed);
         self.layouts = Self::compute_layouts(&self.schema, &self.db, &self.config, &self.deployed);
         self.stats_epoch += 1;
+        self.memo.clear();
     }
 
     /// The mutable state a checkpoint must carry to resume this cluster
@@ -489,6 +604,7 @@ impl Cluster {
         self.tables_repartitioned = st.tables_repartitioned;
         self.faults = st.faults;
         self.fault_accounting = st.fault_accounting;
+        self.memo.clear();
         Ok(())
     }
 
@@ -727,6 +843,135 @@ mod tests {
         assert!(c.schema().table(TableId(0)).rows > rows_before);
         let t_after = c.run_query(&w.queries()[0], None).seconds();
         assert!(t_after > t_before, "more data, longer runtime");
+    }
+
+    /// Bitwise view of an outcome, so `-0.0`/`0.0`-style near-misses of
+    /// `PartialEq` on `f64` cannot hide a divergence.
+    fn outcome_bits(o: QueryOutcome) -> (u64, Option<u64>, bool) {
+        match o {
+            QueryOutcome::Completed {
+                seconds,
+                output_rows,
+                degraded,
+            } => (seconds.to_bits(), Some(output_rows), degraded),
+            QueryOutcome::TimedOut { limit } => (limit.to_bits(), None, false),
+            QueryOutcome::Failed { seconds, .. } => (seconds.to_bits(), None, true),
+        }
+    }
+
+    fn single_fault(straggle: bool) -> FaultPlan {
+        let mut plan = FaultPlan::storm(11);
+        plan.crash_rate = 0.0;
+        plan.transient_rate = 0.0;
+        if straggle {
+            plan.link_degrade_rate = 0.0;
+            plan.straggle_rate = 1.0;
+        } else {
+            plan.straggle_rate = 0.0;
+            plan.link_degrade_rate = 1.0;
+        }
+        plan
+    }
+
+    #[test]
+    fn memo_hit_is_bit_identical_to_execution() {
+        let (mut fast, w) = micro_cluster();
+        let (mut naive, _) = micro_cluster();
+        for q in w.queries().iter().chain(w.queries()) {
+            let a = fast.run_query(q, None);
+            let b = crate::with_naive_executor(|| naive.run_query(q, None));
+            assert_eq!(outcome_bits(a), outcome_bits(b), "{}", q.name);
+            assert_eq!(fast.clock().to_bits(), naive.clock().to_bits());
+            assert_eq!(fast.queries_executed(), naive.queries_executed());
+        }
+        let n = w.queries().len() as u64;
+        let stats = fast.memo_stats();
+        assert_eq!((stats.hits, stats.misses), (n, n));
+        assert_eq!(
+            naive.memo_stats(),
+            MemoStats::default(),
+            "the oracle bypasses the memo"
+        );
+    }
+
+    #[test]
+    fn memoized_query_still_times_out() {
+        let (mut c, w) = micro_cluster();
+        let q = &w.queries()[0];
+        c.run_query(q, None);
+        c.run_query(q, None);
+        let warm = c.memo_stats();
+        assert_eq!((warm.hits, warm.misses), (1, 1));
+        let out = c.run_query(q, Some(1e-9));
+        assert!(matches!(out, QueryOutcome::TimedOut { .. }), "got {out:?}");
+        assert_eq!(c.fault_accounting().timeouts, 1);
+        assert_eq!(
+            c.memo_stats(),
+            warm,
+            "timed runs neither read nor fill the memo"
+        );
+    }
+
+    #[test]
+    fn faulted_executions_bypass_the_memo() {
+        for straggle in [true, false] {
+            let (mut c, w) = micro_cluster();
+            let (q0, q1) = (&w.queries()[0], &w.queries()[1]);
+            let healthy = c.run_query(q0, None).seconds();
+            let warm = c.memo_stats();
+            c.set_fault_plan(single_fault(straggle));
+            assert!(c.fault_state().any_fault());
+            // A memoized query is re-executed, not served healthy.
+            let out = c.run_query(q0, None);
+            assert!(!out.is_clean(), "straggle={straggle}: {out:?}");
+            assert!(out.seconds() > healthy, "straggle={straggle}");
+            // A new query under faults is not memoized either.
+            let faulted = c.run_query(q1, None);
+            assert!(!faulted.is_clean());
+            assert_eq!(c.memo_stats(), warm, "straggle={straggle}");
+            c.set_fault_plan(FaultPlan::none());
+            let clean = c.run_query(q1, None);
+            assert!(clean.is_clean());
+            assert!(clean.seconds() < faulted.seconds());
+            let stats = c.memo_stats();
+            assert_eq!((stats.hits, stats.misses), (warm.hits, warm.misses + 1));
+        }
+    }
+
+    #[test]
+    fn restore_with_different_growth_matches_fresh_cluster() {
+        let (mut c, w) = micro_cluster();
+        let q = &w.queries()[0];
+        let before = c.run_query(q, None);
+        let (mut grown, _) = micro_cluster();
+        grown.bulk_update(0.6);
+        let st = grown.resume_state();
+        c.restore_resume_state(st.clone()).unwrap();
+        let (mut fresh, _) = micro_cluster();
+        fresh.restore_resume_state(st).unwrap();
+        let after = c.run_query(q, None);
+        assert_eq!(outcome_bits(after), outcome_bits(fresh.run_query(q, None)));
+        assert_ne!(outcome_bits(after), outcome_bits(before));
+        assert_eq!(c.clock().to_bits(), fresh.clock().to_bits());
+    }
+
+    #[test]
+    fn query_content_not_name_keys_the_memo() {
+        let (mut c, w) = micro_cluster();
+        let q = w.queries()[0].clone();
+        let mut narrower = q.clone();
+        narrower.selectivity[0] *= 0.5;
+        let wide = c.run_query(&q, None);
+        let narrow = c.run_query(&narrower, None);
+        let stats = c.memo_stats();
+        assert_eq!((stats.hits, stats.misses, stats.entries), (0, 2, 2));
+        let (mut fresh, _) = micro_cluster();
+        fresh.run_query(&q, None);
+        assert_eq!(
+            outcome_bits(narrow),
+            outcome_bits(fresh.run_query(&narrower, None))
+        );
+        assert_ne!(outcome_bits(wide), outcome_bits(narrow));
     }
 
     #[test]

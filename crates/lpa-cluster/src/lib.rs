@@ -44,7 +44,7 @@ pub mod guardrail;
 pub mod hardware;
 pub mod optimizer;
 
-pub use cluster::{Cluster, ClusterConfig, ClusterResumeState, QueryOutcome};
+pub use cluster::{Cluster, ClusterConfig, ClusterResumeState, MemoStats, QueryOutcome};
 pub use columnar::{naive_executor_forced, with_naive_executor, ExecScratch};
 pub use datagen::{Database, TableData};
 pub use engine::{EngineKind, EngineProfile};
