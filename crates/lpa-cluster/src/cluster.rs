@@ -581,9 +581,11 @@ impl Cluster {
     }
 
     /// Apply checkpointed state onto a cluster freshly built over the same
-    /// base schema and config. Regenerates data, layouts and statistics;
-    /// `Err` (never panics: this is the recovery path) when the state does
-    /// not fit the schema.
+    /// base schema and config. Regenerates data (only when the scaled
+    /// schema's row counts differ: the database is a pure function of the
+    /// scaled schema and seed), layouts and statistics; `Err` (never
+    /// panics: this is the recovery path) when the state does not fit the
+    /// schema.
     pub fn restore_resume_state(&mut self, st: ClusterResumeState) -> Result<(), String> {
         if st.growth.len() != self.base_schema.tables().len() {
             return Err(format!(
@@ -592,10 +594,18 @@ impl Cluster {
                 self.base_schema.tables().len()
             ));
         }
+        let schema = self.base_schema.clone().scaled_per_table(&st.growth);
+        st.deployed.check(&schema)?;
+        let same_rows = schema
+            .tables()
+            .iter()
+            .zip(self.schema.tables())
+            .all(|(a, b)| a.rows == b.rows);
         self.growth = st.growth;
-        self.schema = self.base_schema.clone().scaled_per_table(&self.growth);
-        st.deployed.check(&self.schema)?;
-        self.db = Database::generate(&self.schema, self.config.seed);
+        self.schema = schema;
+        if !same_rows {
+            self.db = Database::generate(&self.schema, self.config.seed);
+        }
         self.deployed = st.deployed;
         self.layouts = Self::compute_layouts(&self.schema, &self.db, &self.config, &self.deployed);
         self.clock_seconds = st.clock_seconds;
@@ -953,6 +963,32 @@ mod tests {
         assert_eq!(outcome_bits(after), outcome_bits(fresh.run_query(q, None)));
         assert_ne!(outcome_bits(after), outcome_bits(before));
         assert_eq!(c.clock().to_bits(), fresh.clock().to_bits());
+    }
+
+    #[test]
+    fn restore_with_equal_growth_matches_fresh_cluster() {
+        let (mut c, w) = micro_cluster();
+        c.run_query(&w.queries()[0], None);
+        let moved = lpa_partition::valid_actions(c.schema(), c.deployed())[0]
+            .apply(c.schema(), c.deployed())
+            .unwrap();
+        c.deploy(&moved);
+        let st = c.resume_state();
+        let (mut restored, _) = micro_cluster();
+        restored.restore_resume_state(st).unwrap();
+        // The kept data is what a regeneration would produce.
+        let fresh = Database::generate(&restored.schema, restored.config.seed);
+        for (a, b) in restored.db.tables().iter().zip(fresh.tables()) {
+            assert_eq!((a.rows, &a.columns), (b.rows, &b.columns));
+        }
+        assert_eq!(restored.deployed(), c.deployed());
+        for q in w.queries() {
+            assert_eq!(
+                outcome_bits(restored.run_query(q, None)),
+                outcome_bits(crate::with_naive_executor(|| c.run_query(q, None)))
+            );
+        }
+        assert_eq!(restored.clock().to_bits(), c.clock().to_bits());
     }
 
     #[test]

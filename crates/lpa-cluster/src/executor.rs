@@ -40,10 +40,12 @@ pub(crate) fn par_pool(work: usize) -> Pool {
 pub enum Layout {
     /// Full copy on every node.
     Replicated,
-    /// `node[row]` assignment derived from the partition-key values.
+    /// `node[row]` assignment derived from the partition-key values, and
+    /// the resulting per-node row counts (`counts[node]`).
     Hashed {
         attr: lpa_schema::AttrId,
         node: Vec<u8>,
+        counts: Vec<u64>,
     },
 }
 
@@ -64,7 +66,12 @@ pub fn layout_table(
                 lpa_par::default_chunk_len(col.len()),
                 |_, &v| engine.node_of(v, nodes) as u8,
             );
-            Layout::Hashed { attr, node }
+            let mut hist = [0u64; 256];
+            for &a in &node {
+                hist[a as usize] += 1;
+            }
+            let counts = hist.get(..nodes).unwrap_or(&hist).to_vec();
+            Layout::Hashed { attr, node, counts }
         }
     }
 }

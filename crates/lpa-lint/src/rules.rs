@@ -713,11 +713,16 @@ const L013_HOT_FNS: &[(&str, &[&str])] = &[
     (
         "crates/lpa-cluster/src/columnar.rs",
         &[
+            "execute_columnar",
             "max_shard_fraction_col",
             "max_node_fraction_col",
+            "filter_slots",
             "filtered_rows_into",
+            "mark_live",
             "seed_inter_col",
             "join_step_col",
+            "rebuild",
+            "each",
         ],
     ),
     (
